@@ -441,6 +441,17 @@ type asyncRun struct {
 	res       *Result
 	stop      bool
 
+	// Row-floor counters: atIter[k] is the number of live nodes whose
+	// completed iteration is k (clamped at Rounds), liveCount the number of
+	// live nodes. Every live node sits at or above emitted, so the floor —
+	// the lowest live iteration — is reached by stepping emitted past empty
+	// slots: O(1) amortized per aggregate instead of a fleet scan.
+	atIter    []int
+	liveCount int
+	// touched counts node rows visited by the scoped recheck and the floor
+	// counters — instrumentation for the per-event complexity test.
+	touched int
+
 	// evalSamp drives sampled rotating evaluation (nil = exact); its subsets
 	// depend only on config + row index, so rows stay parallelism-invariant.
 	evalSamp *evalSampler
@@ -510,6 +521,8 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		nodes:        make([]asyncNode, n),
 		lossSum:      make([]float64, cfg.Rounds),
 		lossCount:    make([]int, cfg.Rounds),
+		atIter:       make([]int, cfg.Rounds+1),
+		liveCount:    n,
 		res:          &Result{RoundsToTarget: -1},
 		rec:          cfg.Record,
 		replay:       cfg.Replay,
@@ -532,6 +545,7 @@ func (e *AsyncEngine) Run() (*Result, error) {
 	for i := range r.aggIdx {
 		r.aggIdx[i] = -1
 	}
+	r.atIter[0] = n
 	if !cfg.NoDecodeCache {
 		// One decode per broadcast payload fleet-wide: every node whose
 		// aggregate path supports the cache shares this one. Attached per
@@ -787,12 +801,19 @@ func (r *asyncRun) eventLoop() error {
 		if err != nil {
 			return err
 		}
+		if testEventHook != nil {
+			testEventHook(r, &ev)
+		}
 		if r.emitted >= r.cfg.Rounds {
 			break
 		}
 	}
 	return nil
 }
+
+// testEventHook, when set, runs after every processed event. Tests use it to
+// check scheduler invariants mid-run; it is nil outside tests.
+var testEventHook func(r *asyncRun, ev *Event)
 
 // graph returns the current epoch's live-filtered graph and mixing weights.
 func (r *asyncRun) graph() (*topology.Graph, []topology.Weights) {
@@ -1424,9 +1445,23 @@ func (r *asyncRun) onArrival(ev *Event) error {
 // the deadline policy at the barrier or its deadline, whichever first.
 func (r *asyncRun) checkReady(i int) error {
 	st := &r.nodes[i]
-	if !st.waiting {
+	if !st.waiting || !r.ready(i) {
 		return nil
 	}
+	st.waiting = false
+	st.deadlineFired = false
+	if r.telWait != nil {
+		r.telWait.Observe(r.now - st.waitStart)
+	}
+	return r.aggregate(i)
+}
+
+// ready reports whether node i's pending iteration meets the aggregation
+// policy's condition. It reads only i's live neighbours' bookkeeping, so a
+// liveness change can only alter the readiness of the changed node's
+// neighbours.
+func (r *asyncRun) ready(i int) bool {
+	st := &r.nodes[i]
 	g, _ := r.graph()
 	v := policyView{iter: st.iter, tau: r.curTau, deadline: st.deadlineFired, minGot: math.MaxInt}
 	for _, j := range g.Neighbors(i) {
@@ -1442,15 +1477,7 @@ func (r *asyncRun) checkReady(i int) error {
 			v.minGot = got
 		}
 	}
-	if !r.policy.ready(v) {
-		return nil
-	}
-	st.waiting = false
-	st.deadlineFired = false
-	if r.telWait != nil {
-		r.telWait.Observe(r.now - st.waitStart)
-	}
-	return r.aggregate(i)
+	return r.policy.ready(v)
 }
 
 // aggregate merges node i's buffered payloads under the live-subgraph mixing
@@ -1488,8 +1515,9 @@ func (r *asyncRun) aggregate(i int) error {
 		}
 	}
 	// Decode+mix runs on the pool: nothing on the event schedule depends on
-	// its result (the payloads in msgs are immutable, the mixing row w[i] is
-	// rebuilt — never mutated — on liveness changes), so the loop moves on
+	// its result (the payloads in msgs are immutable, and a liveness change
+	// swaps fresh rows into a new weights slice copy-on-write — the row w[i]
+	// handed out here is never mutated), so the loop moves on
 	// while the model updates. The node's next train chains after it; row
 	// evaluation and Run's exit wait for every chain. The worker returns the
 	// msgs map to the pool once Aggregate has consumed it — map identity
@@ -1547,6 +1575,7 @@ func (r *asyncRun) aggregate(i int) error {
 			}
 		}
 	}
+	r.moveFloor(st.iter, st.iter+1)
 	st.iter++
 	if err := r.emitRows(); err != nil {
 		return err
@@ -1564,18 +1593,23 @@ func (r *asyncRun) onLeave(i int) error {
 	if !st.live {
 		return nil
 	}
+	// The leaver's live neighbours, read before the graph shrinks: they are
+	// the only nodes whose neighbour sets change.
+	g, _ := r.graph()
+	nbrs := g.Neighbors(i)
 	st.live = false
 	st.gen++
 	st.waiting = false
 	st.deadlineFired = false
+	r.moveFloor(st.iter, -1)
 	r.topo.SetLive(i, false)
 	if r.dcache != nil {
 		// Hygiene, not correctness: entries are identity-keyed, so dropping
 		// the leaver's cached decodes just releases memory sooner.
 		r.dcache.InvalidateSender(i)
 	}
-	// Departure can unblock waiting neighbors and lower the row floor.
-	return r.recheckAll()
+	// Departure can unblock waiting neighbors and raise the row floor.
+	return r.recheck(nbrs)
 }
 
 // onJoin brings a node back: it keeps its (stale) model, fast-forwards to
@@ -1599,6 +1633,7 @@ func (r *asyncRun) onJoin(i int) error {
 	if st.iter < r.emitted {
 		st.iter = r.emitted
 	}
+	r.moveFloor(-1, st.iter)
 	// Anything buffered before the departure is stale connectivity. The
 	// bookkeeping maps are cleared in place and inner boxes recycled, not
 	// re-allocated: churn at 1024-node scale must not grow the heap.
@@ -1627,11 +1662,30 @@ func (r *asyncRun) onJoin(i int) error {
 	if st.iter < r.cfg.Rounds && !r.stop {
 		r.scheduleTrain(i)
 	}
-	return r.recheckAll()
+	return r.recheck(g.Neighbors(i))
+}
+
+// recheck re-evaluates the emission floor and the readiness of the waiting
+// nodes among nbrs, in ascending order, after a liveness change confined to
+// their neighbour sets. No other node's readiness inputs changed, so this
+// fires exactly the aggregations a full-fleet scan would, in the same order.
+func (r *asyncRun) recheck(nbrs []int) error {
+	if err := r.emitRows(); err != nil {
+		return err
+	}
+	r.touched += len(nbrs)
+	for _, j := range nbrs {
+		if r.nodes[j].waiting {
+			if err := r.checkReady(j); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // recheckAll re-evaluates every waiting node's readiness and the emission
-// floor after a live-set change.
+// floor after a fleet-wide change (an epoch rotation).
 func (r *asyncRun) recheckAll() error {
 	if err := r.emitRows(); err != nil {
 		return err
@@ -1675,8 +1729,7 @@ func (r *asyncRun) meshFetch(to, from, iter int) (transport.Message, error) {
 // emitRows publishes iteration rows up to the minimum iteration completed by
 // all live nodes, evaluating on the sync engine's cadence.
 func (r *asyncRun) emitRows() error {
-	floor := r.minLiveIter()
-	for r.emitted < floor && r.emitted < r.cfg.Rounds && !r.stop {
+	for r.floorAbove() && r.emitted < r.cfg.Rounds && !r.stop {
 		k := r.emitted
 		// Sampled runs reuse the row's eval subset for the alpha summary too,
 		// keeping emission O(sample); exact runs keep the full-fleet mean.
@@ -1748,23 +1801,26 @@ func (r *asyncRun) emitRows() error {
 	return nil
 }
 
-// minLiveIter is the lowest completed iteration among live nodes, or the
-// full budget when nobody is live (dead nodes cannot hold rows back forever;
-// rows resume when someone rejoins behind the floor).
-func (r *asyncRun) minLiveIter() int {
-	min := r.cfg.Rounds
-	any := false
-	for i := range r.nodes {
-		if !r.nodes[i].live {
-			continue
-		}
-		any = true
-		if r.nodes[i].iter < min {
-			min = r.nodes[i].iter
-		}
+// floorAbove reports whether every live node has completed an iteration
+// past the next row to emit. Nobody live freezes the floor at emitted (dead
+// nodes cannot hold rows back forever; rows resume when someone rejoins).
+func (r *asyncRun) floorAbove() bool {
+	r.touched++
+	return r.liveCount > 0 && r.atIter[r.emitted] == 0
+}
+
+// moveFloor moves one live node's entry in the row-floor counters from
+// iteration from to iteration to; -1 on either side is a leave or a join.
+func (r *asyncRun) moveFloor(from, to int) {
+	r.touched++
+	if from >= 0 {
+		r.atIter[min(from, r.cfg.Rounds)]--
+	} else {
+		r.liveCount++
 	}
-	if !any {
-		return r.emitted // freeze the floor while everyone is away
+	if to >= 0 {
+		r.atIter[min(to, r.cfg.Rounds)]++
+	} else {
+		r.liveCount--
 	}
-	return min
 }

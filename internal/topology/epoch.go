@@ -22,7 +22,9 @@ import (
 // this interface.
 type LiveProvider interface {
 	Provider
-	// SetLive flips one node's liveness, invalidating cached subgraphs.
+	// SetLive flips one node's liveness. The next Round serves a new
+	// subgraph patched copy-on-write; graphs and weight rows served earlier
+	// are never modified, so callers (and pool tasks) may keep reading them.
 	SetLive(node int, alive bool)
 	// Live reports whether node is currently live.
 	Live(node int) bool
@@ -86,10 +88,12 @@ func (s *SeededDynamic) Graph(t int) *Graph {
 // every epoch's graph to the currently live nodes, recomputing
 // Metropolis-Hastings weights on the induced subgraph (Masked semantics).
 // Round takes an *epoch index*, not a synchronous round number; EpochAt maps
-// simulated time to that index. The cache is keyed by (epoch, liveVersion),
-// so a SetLive racing an epoch boundary — churn processed at the same
-// simulated instant the graph rotates — always invalidates correctly
-// whichever of the two queries comes first.
+// simulated time to that index. Liveness changes are queued and patched into
+// the served subgraph copy-on-write on the next Round (see liveView), and an
+// epoch whose base graph differs rebuilds it with every queued change
+// applied, so a SetLive racing an epoch boundary — churn processed at the
+// same simulated instant the graph rotates — is served correctly whichever
+// of the two queries comes first.
 type EpochProvider struct {
 	// Base yields the unfiltered graph per epoch index: Static repeats one
 	// graph (only liveness changes across epochs), SeededDynamic
@@ -99,16 +103,12 @@ type EpochProvider struct {
 	// a single epoch spanning the whole run.
 	EpochSec float64
 
-	liveSet
-	cachedEpoch int
-	cachedVer   int
-	cachedG     *Graph
-	cachedW     []Weights
+	liveView
 }
 
 // NewEpochProvider builds an epoch provider over n nodes, all initially live.
 func NewEpochProvider(base Provider, n int, epochSec float64) *EpochProvider {
-	return &EpochProvider{Base: base, EpochSec: epochSec, liveSet: newLiveSet(n), cachedEpoch: -1, cachedVer: -1}
+	return &EpochProvider{Base: base, EpochSec: epochSec, liveView: newLiveView(n)}
 }
 
 // EpochAt maps a simulated timestamp to its epoch index.
@@ -128,19 +128,13 @@ type graphOnly interface {
 
 // Round implements Provider over the live-induced subgraph of epoch e.
 func (p *EpochProvider) Round(e int) (*Graph, []Weights) {
-	if e == p.cachedEpoch && p.liveVersion == p.cachedVer {
-		return p.cachedG, p.cachedW
-	}
-	var base *Graph
-	if gp, ok := p.Base.(graphOnly); ok {
-		base = gp.Graph(e)
-	} else {
-		base, _ = p.Base.Round(e)
-	}
-	g := Induced(base, p.live)
-	p.cachedG, p.cachedW = g, MetropolisHastings(g)
-	p.cachedEpoch, p.cachedVer = e, p.liveVersion
-	return p.cachedG, p.cachedW
+	return p.serve(e, func(e int) *Graph {
+		if gp, ok := p.Base.(graphOnly); ok {
+			return gp.Graph(e)
+		}
+		g, _ := p.Base.Round(e)
+		return g
+	})
 }
 
 // SLEMScratch holds the power-iteration work buffers of MixingSLEM so

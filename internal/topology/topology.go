@@ -12,8 +12,11 @@ import (
 
 // Graph is an undirected simple graph over nodes 0..N-1 stored as sorted
 // adjacency lists. A Graph is immutable once built: the constructors and
-// providers in this package never modify Adj after returning one, which is
-// what lets HasEdge build its adjacency bitmap lazily.
+// providers in this package never modify Adj, or any row in it, after
+// returning one, which is what lets HasEdge build its adjacency bitmap
+// lazily. The live-filtering providers share unchanged rows between the
+// graphs they serve (copy-on-write): a liveness change yields a new Graph
+// whose Adj header points at the old rows except for the few it rebuilt.
 type Graph struct {
 	N   int
 	Adj [][]int
@@ -41,6 +44,11 @@ func (g *Graph) Degree(i int) int { return len(g.Adj[i]) }
 // are one mask test. Lazy construction is safe because graphs are only
 // queried from the single-threaded scheduler loop (Graph is not safe for
 // concurrent first use, like the rest of the provider caching).
+//
+// Keep HasEdge off per-event paths of a live-filtering provider's graphs:
+// every liveness change yields a new Graph, so a per-event query would build
+// a fresh N²-bit bitmap (2 MiB at 4096 nodes) each time. Per-epoch use, or a
+// scan of one node's sorted Neighbors, is the intended shape.
 func (g *Graph) HasEdge(i, j int) bool {
 	if g.bitmap == nil {
 		if g.N > maxBitmapNodes {
@@ -278,18 +286,25 @@ func sortInts(a []int) {
 // the paper's D-PSGD.
 func MetropolisHastings(g *Graph) []Weights {
 	out := make([]Weights, g.N)
-	for i := 0; i < g.N; i++ {
-		w := Weights{Neighbor: make(map[int]float64, g.Degree(i))}
-		var sum float64
-		for _, j := range g.Adj[i] {
-			wij := 1.0 / (1.0 + float64(maxInt(g.Degree(i), g.Degree(j))))
-			w.Neighbor[j] = wij
-			sum += wij
-		}
-		w.Self = 1 - sum
-		out[i] = w
+	for i := range out {
+		out[i] = mhRow(g, i)
 	}
 	return out
+}
+
+// mhRow builds node i's Metropolis-Hastings row. It reads only i's adjacency
+// and its neighbours' degrees, which is what lets the live view rebuild a
+// handful of rows after a liveness change.
+func mhRow(g *Graph, i int) Weights {
+	w := Weights{Neighbor: make(map[int]float64, g.Degree(i))}
+	var sum float64
+	for _, j := range g.Adj[i] {
+		wij := 1.0 / (1.0 + float64(maxInt(g.Degree(i), g.Degree(j))))
+		w.Neighbor[j] = wij
+		sum += wij
+	}
+	w.Self = 1 - sum
+	return w
 }
 
 // Weights is one node's mixing row: its self weight and one weight per
@@ -333,103 +348,50 @@ func (s *Static) Round(int) (*Graph, []Weights) { return s.G, s.W }
 // active communication graph as nodes leave and rejoin mid-run.
 func Induced(g *Graph, live []bool) *Graph {
 	out := &Graph{N: g.N, Adj: make([][]int, g.N)}
-	for i := 0; i < g.N; i++ {
-		if i < len(live) && !live[i] {
-			continue
-		}
-		adj := make([]int, 0, len(g.Adj[i]))
-		for _, j := range g.Adj[i] {
-			if j >= len(live) || live[j] {
-				adj = append(adj, j)
-			}
-		}
-		out.Adj[i] = adj
+	for i := range out.Adj {
+		out.Adj[i] = inducedRow(g, live, i)
 	}
 	return out
 }
 
-// liveSet is the liveness bitmap shared by the live-filtering providers
-// (Masked, EpochProvider): per-node flags plus a version counter bumped on
-// every effective change, which the providers key their subgraph caches on.
-// A SetLive racing a round/epoch query in either order therefore always
-// invalidates correctly.
-type liveSet struct {
-	live        []bool
-	liveVersion int
-}
-
-func newLiveSet(n int) liveSet {
-	live := make([]bool, n)
-	for i := range live {
-		live[i] = true
+// inducedRow is node i's adjacency row in the subgraph of g induced by live:
+// nil for a dead node, else i's live neighbours in g's order.
+func inducedRow(g *Graph, live []bool, i int) []int {
+	if i < len(live) && !live[i] {
+		return nil
 	}
-	return liveSet{live: live}
-}
-
-// SetLive flips one node's liveness, invalidating cached subgraphs.
-func (s *liveSet) SetLive(node int, alive bool) {
-	if s.live[node] == alive {
-		return
-	}
-	s.live[node] = alive
-	s.liveVersion++
-}
-
-// Live reports whether node is currently live.
-func (s *liveSet) Live(node int) bool { return s.live[node] }
-
-// NumLive counts the live nodes.
-func (s *liveSet) NumLive() int {
-	n := 0
-	for _, a := range s.live {
-		if a {
-			n++
+	adj := make([]int, 0, len(g.Adj[i]))
+	for _, j := range g.Adj[i] {
+		if j >= len(live) || live[j] {
+			adj = append(adj, j)
 		}
 	}
-	return n
-}
-
-// ResetLive marks every node live again (the start-of-run state).
-func (s *liveSet) ResetLive() {
-	for i := range s.live {
-		if !s.live[i] {
-			s.live[i] = true
-			s.liveVersion++
-		}
-	}
+	return adj
 }
 
 // Masked wraps a Provider and restricts every round's graph to the currently
 // live nodes, recomputing Metropolis-Hastings weights on the induced
 // subgraph. Rows of dead nodes are empty with Self == 1, so a rejoining node
-// that has not yet re-earned edges simply keeps its own model.
+// that has not yet re-earned edges simply keeps its own model. Liveness
+// changes patch the served subgraph copy-on-write (see liveView): graphs and
+// weights served earlier are never modified.
 type Masked struct {
 	Base Provider
 
-	liveSet
-	// cache keyed by (round, liveVersion) so repeated queries within an epoch
-	// don't rebuild the induced graph.
-	cachedRound int
-	cachedVer   int
-	cachedG     *Graph
-	cachedW     []Weights
+	liveView
 }
 
 // NewMasked builds a masked provider with all n nodes initially live.
 func NewMasked(base Provider, n int) *Masked {
-	return &Masked{Base: base, liveSet: newLiveSet(n), cachedRound: -1, cachedVer: -1}
+	return &Masked{Base: base, liveView: newLiveView(n)}
 }
 
 // Round implements Provider over the live-induced subgraph.
 func (m *Masked) Round(t int) (*Graph, []Weights) {
-	if t == m.cachedRound && m.liveVersion == m.cachedVer {
-		return m.cachedG, m.cachedW
-	}
-	base, _ := m.Base.Round(t)
-	g := Induced(base, m.live)
-	m.cachedG, m.cachedW = g, MetropolisHastings(g)
-	m.cachedRound, m.cachedVer = t, m.liveVersion
-	return m.cachedG, m.cachedW
+	return m.serve(t, func(t int) *Graph {
+		g, _ := m.Base.Round(t)
+		return g
+	})
 }
 
 // Dynamic regenerates a random d-regular graph every round, modelling the
