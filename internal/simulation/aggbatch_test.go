@@ -240,7 +240,7 @@ func TestDecodeCacheEngineParity(t *testing.T) {
 					if tc.mut != nil {
 						tc.mut(cfg)
 					}
-					cfg.NoDecodeCache = true
+					cfg.noDecodeCache = true
 				})
 				on := captureAsyncRun(t, 16, 10, p, tc.mut)
 				assertRunsIdentical(t, tc.name+"/cache-on-vs-off", off, on, p)

@@ -236,13 +236,6 @@ type AsyncConfig struct {
 	// unless this is set (differential tests and benchmarks set it so the
 	// batched code paths run regardless of host shape).
 	ShareBatchForce bool
-	// NoDecodeCache disables the fleet-shared decoded-payload cache that
-	// otherwise lets every broadcast payload be entropy-decoded once instead
-	// of once per recipient. Identity-keyed and invalidated on churn/epoch
-	// rotation, the cache never changes results (decoding is a pure function
-	// of the payload bytes) — the knob exists for differential tests and
-	// perf comparisons.
-	NoDecodeCache bool
 	// OnEvent, if set, observes every processed event in order — the
 	// deterministic event trace.
 	OnEvent func(Event)
@@ -546,17 +539,7 @@ func (e *AsyncEngine) Run() (*Result, error) {
 		r.aggIdx[i] = -1
 	}
 	r.atIter[0] = n
-	if !cfg.NoDecodeCache {
-		// One decode per broadcast payload fleet-wide: every node whose
-		// aggregate path supports the cache shares this one. Attached per
-		// run so reused fleets never serve a previous run's buffers.
-		r.dcache = &core.DecodeCache{}
-		for _, nd := range e.Nodes {
-			if u, ok := nd.(core.DecodeCacheUser); ok {
-				u.SetDecodeCache(r.dcache)
-			}
-		}
-	}
+	r.dcache = attachDecodeCache(e.Nodes, cfg.noDecodeCache)
 	if bp, ok := policy.(BoundedStalenessPolicy); ok {
 		r.curTau = bp.Tau
 	}

@@ -78,6 +78,11 @@ type Config struct {
 	OfflineProb float64
 	// FaultSeed seeds the drop/offline decisions (default derived from 1).
 	FaultSeed uint64
+
+	// noDecodeCache runs without the fleet-shared decoded-payload cache, so
+	// every recipient decodes its own copy. The cache never changes results;
+	// this switch exists only for the in-package differential tests.
+	noDecodeCache bool
 }
 
 func (c *Config) setDefaults() {
@@ -193,7 +198,12 @@ type Result struct {
 	Telemetry *metrics.Snapshot
 }
 
-// Engine runs one experiment.
+// Engine runs one experiment in synchronous lockstep rounds. Like the
+// AsyncEngine, it decodes each broadcast payload once: every run attaches a
+// fleet-shared core.DecodeCache, and the recipients of a payload share its
+// decoded vector. Direct delivery hands every recipient the same slice, so
+// the cache hits for all but the first; a Mesh delivers copies, which only
+// miss.
 type Engine struct {
 	Nodes    []core.Node
 	Topology topology.Provider
@@ -221,6 +231,7 @@ func (e *Engine) Run() (*Result, error) {
 		return nil, fmt.Errorf("simulation: rounds must be positive")
 	}
 
+	attachDecodeCache(e.Nodes, cfg.noDecodeCache)
 	res := &Result{RoundsToTarget: -1}
 	var ledger byteLedger
 	simTime := 0.0

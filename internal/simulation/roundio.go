@@ -37,6 +37,26 @@ func (l *byteLedger) addSend(bd codec.ByteBreakdown, payloadLen int, receivers i
 	return sent
 }
 
+// attachDecodeCache wires one fresh fleet-shared core.DecodeCache into every
+// node that supports it, so each broadcast payload is entropy-decoded once
+// instead of once per recipient, and returns it. Both engines call it at the
+// start of every run: a reused fleet never serves a previous run's buffers.
+// With off set it detaches instead (SetDecodeCache(nil)) and returns nil, so
+// a fleet that ran with a cache before cannot keep decoding through it. The
+// cache is keyed on payload identity, so it never changes results.
+func attachDecodeCache(nodes []core.Node, off bool) *core.DecodeCache {
+	var c *core.DecodeCache
+	if !off {
+		c = &core.DecodeCache{}
+	}
+	for _, nd := range nodes {
+		if u, ok := nd.(core.DecodeCacheUser); ok {
+			u.SetDecodeCache(c)
+		}
+	}
+	return c
+}
+
 // trainShare runs one node's local-training phase and builds its broadcast
 // payload for the given round/iteration.
 func trainShare(nd core.Node, round int) (loss float64, payload []byte, bd codec.ByteBreakdown, err error) {
